@@ -4,7 +4,7 @@ GO ?= go
 # gate against a different one (make bench BENCH=BENCH_4.json).
 BENCH ?= BENCH_3.json
 
-.PHONY: build test fmt vet race race-short chaos cluster cluster-chaos fsck-drill verify report bench bench-baseline trace fleet-trace
+.PHONY: build test fmt vet race race-short tlsperf-build chaos cluster cluster-chaos fsck-drill verify report bench bench-baseline trace fleet-trace
 
 build:
 	$(GO) build ./...
@@ -27,10 +27,16 @@ race:
 	$(GO) test -race ./internal/exp ./internal/report ./internal/sim
 
 # race-short runs the whole module under the race detector in short mode —
-# the CI job that guards the parallel simulation core (sharded queue,
-# prefetch workers, cluster sleep seams) without full-grid runtimes.
+# the CI job that guards the parallel simulation core's prefetch workers
+# and the cluster sleep seams without full-grid runtimes.
 race-short:
 	$(GO) test -race -short ./...
+
+# tlsperf-build vets and builds the benchmark, its own module under tlsperf/
+# that ./... skips, so a change that removes an API the benchmark calls
+# fails here rather than when the benchmark runs.
+tlsperf-build:
+	cd tlsperf && $(GO) vet ./... && $(GO) build -o /dev/null ./...
 
 # chaos is the bounded fault-injection campaign (~30s): recoverable faults
 # must be absorbed with zero invariant violations, injected tag corruption
@@ -63,8 +69,9 @@ cluster-chaos:
 fsck-drill:
 	GO="$(GO)" sh ./scripts/fsck_drill.sh
 
-# verify is the CI gate: formatting, vet, build, full tests, race tests.
-verify: fmt vet build test race
+# verify is the CI gate: formatting, vet, build, full tests, race tests,
+# and the benchmark build.
+verify: fmt vet build test race tlsperf-build
 
 # report regenerates every table and figure through the orchestrator.
 report:

@@ -225,11 +225,11 @@ func printParallelSpeedup(ms []Measurement) {
 	}
 }
 
-// parallelLaneStats runs the parallel benchmark workload once outside the
-// timing harness and returns the PDES diagnostic counters, so a parallel
-// slowdown in the numbers above is localizable (stalling windows vs. lane
-// imbalance vs. prefetch misses) straight from tlsbench output.
-func parallelLaneStats() sim.ParallelStats {
+// parallelStats runs the parallel benchmark workload once outside the
+// timing harness and returns its prefetcher counters, so a parallel
+// slowdown in the numbers above is localizable to prefetch misses straight
+// from tlsbench output.
+func parallelStats() sim.ParallelStats {
 	prof := repro.Bdna().Scale(0.25, 0.25, 0.25)
 	s := repro.NewSimulator(repro.NUMA16(), repro.MultiTMVLazy, prof, 1)
 	s.SetParallel(runtime.GOMAXPROCS(0))
@@ -237,39 +237,21 @@ func parallelLaneStats() sim.ParallelStats {
 	return s.ParallelStats()
 }
 
-func printLaneStats(st sim.ParallelStats) {
-	if st.Windows == 0 {
+func printPrefetchStats(st sim.ParallelStats) {
+	if st.Workers == 0 {
 		return
-	}
-	minF, maxF := st.LaneFired[0], st.LaneFired[0]
-	maxHi := 0
-	for i := range st.LaneFired {
-		if st.LaneFired[i] < minF {
-			minF = st.LaneFired[i]
-		}
-		if st.LaneFired[i] > maxF {
-			maxF = st.LaneFired[i]
-		}
-		if st.LaneHighWater[i] > maxHi {
-			maxHi = st.LaneHighWater[i]
-		}
 	}
 	hitRate := 0.0
 	if st.PrefetchHits+st.PrefetchMisses > 0 {
 		hitRate = 100 * float64(st.PrefetchHits) / float64(st.PrefetchHits+st.PrefetchMisses)
 	}
-	fmt.Printf("pdes lanes: %d lanes, window %d cycles, %d windows (%.1f%% stalled ≤1 event)\n",
-		len(st.LaneFired), st.WindowWidth, st.Windows,
-		100*float64(st.StallWindows)/float64(st.Windows))
-	fmt.Printf("pdes lanes: fired min %d / max %d per lane, peak lane occupancy %d, %d compactions\n",
-		minF, maxF, maxHi, st.Compactions)
-	fmt.Printf("pdes prefetch: %.1f%% hit (%d hit / %d miss), peak queue depth %d\n",
-		hitRate, st.PrefetchHits, st.PrefetchMisses, st.PrefetchDepthHighWater)
+	fmt.Printf("prefetch: %d workers, %.1f%% hit (%d hit / %d miss), peak queue depth %d\n",
+		st.Workers, hitRate, st.PrefetchHits, st.PrefetchMisses, st.PrefetchDepthHighWater)
 }
 
 // HistoryRecord is one tlsbench run appended to the -history JSONL trend
 // file: everything a later plot needs to chart this host's performance over
-// time, including the PDES lane diagnostics of the parallel core.
+// time, including the prefetcher counters of the parallel core.
 type HistoryRecord struct {
 	Unix       int64             `json:"unix"`
 	Go         string            `json:"go"`
@@ -381,7 +363,7 @@ func main() {
 		against  = flag.Bool("compare", false, "compare against the -baseline file; exit 1 outside the band")
 		band     = flag.Float64("band", 0.30, "guard band for the allocs/op comparison")
 		note     = flag.String("note", "", "note stored in the baseline file")
-		history  = flag.String("history", "", "append this run (timestamped, with PDES lane stats) to this JSONL trend file")
+		history  = flag.String("history", "", "append this run (timestamped, with prefetch stats) to this JSONL trend file")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the benchmark run to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file at exit")
 	)
@@ -395,8 +377,8 @@ func main() {
 	defer stopProf()
 
 	cur := measure()
-	lanes := parallelLaneStats()
-	printLaneStats(lanes)
+	par := parallelStats()
+	printPrefetchStats(par)
 
 	// Trend line: printed whenever the baseline is readable, gating or not.
 	if data, err := os.ReadFile(*basePath); err == nil {
@@ -412,7 +394,7 @@ func main() {
 			Go:         runtime.Version(),
 			MaxProcs:   runtime.GOMAXPROCS(0),
 			Benchmarks: cur,
-			PDES:       lanes,
+			PDES:       par,
 		}
 		if err := appendHistory(*history, rec); err != nil {
 			fmt.Fprintf(os.Stderr, "tlsbench: history: %v\n", err)

@@ -28,7 +28,7 @@ func main() {
 		tasks    = flag.Float64("tasks", 0.5, "task-count scale factor")
 		instr    = flag.Float64("instr", 0.25, "instruction scale factor")
 		foot     = flag.Float64("foot", 0.25, "footprint scale factor")
-		par      = flag.Int("parallel", 1, "worker goroutines for the parallel simulation core (1 = serial loop; results are identical)")
+		par      = flag.Int("parallel", 1, "workload prefetch goroutines for the parallel simulation core (1 = none; results are identical)")
 		list     = flag.Bool("list", false, "list schemes and applications, then exit")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file at exit")
@@ -92,7 +92,7 @@ func main() {
 
 	fmt.Printf("%s on %s under %s (seed %d)\n\n", prof.Name, mach.Name, scheme, *seed)
 	if *par > 1 {
-		fmt.Printf("  parallel core          %d workers (results identical to serial)\n", *par)
+		fmt.Printf("  parallel core          %d prefetch workers (results identical to serial)\n", *par)
 	}
 	fmt.Printf("  tasks                  %d (%d squash events, %d task executions squashed)\n",
 		r.Tasks, r.SquashEvents, r.TasksSquashed)

@@ -5,27 +5,30 @@ import (
 	"fmt"
 )
 
-// This file implements the sharded event queue of the parallel simulation
-// mode: the pending set is partitioned into per-domain lanes (one lane per
-// simulated node), and the firing order is reconstructed by a merge across
-// the lane heads. Sequence numbers are allocated globally, so the merge
-// order — ascending (when, seq), with the lane only breaking ties that
-// cannot occur — is exactly the serial Queue's total order: a ShardedQueue
-// fed the same schedule fires the identical event sequence, which is what
-// keeps parallel-mode results bit-identical to the serial loop.
+// This file implements a sharded event queue: the pending set is
+// partitioned into per-domain lanes (one lane per simulated node), and the
+// firing order is reconstructed by a merge across the lane heads. Sequence
+// numbers are allocated globally, so the merge order — ascending (when,
+// seq), with the lane only breaking ties that cannot occur — is exactly the
+// serial Queue's total order: a ShardedQueue fed the same schedule fires
+// the identical event sequence.
 //
-// The lanes exist so a conservative synchronization window can reason about
-// each domain independently: Frontier reports how far one lane's earliest
+// The lanes let a conservative synchronization window reason about each
+// domain independently: Frontier reports how far one lane's earliest
 // pending event is, MinFrontier the global safe floor, and RunWindow fires
 // everything strictly before a horizon. The checkpoint surface (NextSeq,
-// RestoreClock, ScheduleAt, Halt) mirrors the serial Queue so a run can be
-// snapshotted in either mode and restored into either mode.
+// RestoreClock, ScheduleAt, Halt) mirrors the serial Queue.
+//
+// The simulator no longer uses this queue: its parallel mode runs the
+// serial Queue plus a workload prefetcher (internal/sim, DESIGN.md §15).
+// It remains only for the tlsperf benchmark's event-replay layer, which
+// times windowed lane replay against the serial Queue; it goes once that
+// benchmark replays on Queue alone.
 
 // ShardedQueue is an event queue whose pending set is partitioned into
-// per-domain lanes. It is the parallel-mode counterpart of Queue and fires
-// the same schedule in the same canonical order. It is not itself
-// goroutine-safe: one goroutine owns the merge loop, and the parallelism
-// lives in what the fired events overlap with (see internal/sim).
+// per-domain lanes. It fires the same schedule as Queue in the same
+// canonical order. It is not goroutine-safe: one goroutine owns the merge
+// loop.
 type ShardedQueue struct {
 	now    Time
 	nextSq uint64
@@ -38,9 +41,9 @@ type ShardedQueue struct {
 }
 
 // shardLane is one domain's share of the pending set. fired and hiwater are
-// diagnostic counters (events fired from this lane, peak live occupancy);
-// they feed the per-lane PDES metrics surfaced by sim.ParallelStats and are
-// never read back by the merge loop, so they cannot perturb firing order.
+// diagnostic counters (events fired from this lane, peak live occupancy),
+// read through LaneFired and LaneHighWater and never by the merge loop, so
+// they cannot perturb firing order.
 type shardLane struct {
 	heap    eventHeap
 	live    int

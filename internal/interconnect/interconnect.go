@@ -106,21 +106,7 @@ type Network struct {
 	// obsMessages counts transfers for the observability layer (nil =
 	// disabled, free).
 	obsMessages *obs.Counter
-
-	// lookahead is the minimum latency of any cross-node interaction on this
-	// network — the conservative-PDES lookahead the parallel simulator
-	// derives its synchronization window from. The machine config wires it
-	// (it owns the latency table); 0 means "not set".
-	lookahead event.Time
 }
-
-// SetLookahead records the machine's minimum cross-node interaction latency.
-func (n *Network) SetLookahead(d event.Time) { n.lookahead = d }
-
-// Lookahead returns the minimum cross-node interaction latency: no event on
-// one node can affect another node sooner than this, which is the safe
-// horizon increment of the parallel simulation loop. 0 when never set.
-func (n *Network) Lookahead() event.Time { return n.lookahead }
 
 // SetObs installs an observability counter incremented per Transfer. A nil
 // counter (the default) is a free no-op.

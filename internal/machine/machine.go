@@ -94,17 +94,16 @@ func (c *Config) Topology() interconnect.Topology { return c.topo }
 
 // NewNetwork instantiates a fresh contention model for one simulation run.
 func (c *Config) NewNetwork() *interconnect.Network {
-	n := interconnect.NewNetwork(c.topo, c.Banks, c.MsgOccupancy, c.BankOccupancy)
-	n.SetLookahead(c.Lookahead())
-	return n
+	return interconnect.NewNetwork(c.topo, c.Banks, c.MsgOccupancy, c.BankOccupancy)
 }
 
 // Lookahead returns the machine's conservative-PDES lookahead: the minimum
 // positive latency of any interaction that crosses nodes (commit-token
 // passes, squash notifications, remote cache and memory round trips). No
-// processor can be affected by another sooner than this, so a parallel
-// simulator may advance a synchronization window of this width safely. The
-// floor of 1 keeps degenerate configs (everything zero) progressing.
+// processor can be affected by another sooner than this, so a windowed
+// event loop may advance a synchronization window of this width safely. The
+// floor of 1 keeps degenerate configs (everything zero) progressing. The
+// simulator does not use it; the tlsperf event-replay benchmark does.
 func (c *Config) Lookahead() event.Time {
 	min := event.Time(0)
 	for _, d := range []event.Time{c.TokenPass, c.SquashMsg, c.LatCacheRemote, c.LatMemRemote} {

@@ -19,7 +19,10 @@ import (
 // gets its own pid so ui.perfetto.dev shows the coordinator's decision lanes
 // above a stack of worker lanes, all on one shared wall-clock axis.
 
-type fleetEvent struct {
+// Event is one Chrome/Perfetto trace-event record. Field names follow the
+// format. The fleet exporter below and the per-run simulation exporter
+// (report.ExportPerfetto) both emit it through WriteEvents.
+type Event struct {
 	Name string         `json:"name"`
 	Cat  string         `json:"cat,omitempty"`
 	Ph   string         `json:"ph"`
@@ -28,14 +31,18 @@ type fleetEvent struct {
 	Pid  int            `json:"pid"`
 	Tid  int            `json:"tid"`
 	ID   string         `json:"id,omitempty"`
-	S    string         `json:"s,omitempty"`
-	BP   string         `json:"bp,omitempty"`
+	S    string         `json:"s,omitempty"`  // instant scope
+	BP   string         `json:"bp,omitempty"` // flow binding point
 	Args map[string]any `json:"args,omitempty"`
 }
 
-type fleetFile struct {
-	TraceEvents     []fleetEvent `json:"traceEvents"`
-	DisplayTimeUnit string       `json:"displayTimeUnit"`
+// WriteEvents encodes events as one trace-event JSON file (the object form
+// both chrome://tracing and ui.perfetto.dev load), displayed in ms.
+func WriteEvents(w io.Writer, events []Event) error {
+	return json.NewEncoder(w).Encode(struct {
+		TraceEvents     []Event `json:"traceEvents"`
+		DisplayTimeUnit string  `json:"displayTimeUnit"`
+	}{events, "ms"})
 }
 
 // flowCat is the category carried by every cross-process flow arrow; start
@@ -84,7 +91,7 @@ func ExportPerfetto(w io.Writer, coordProc string, spans []Span) error {
 	}
 	type lane struct{ proc, kind string }
 	tidOf := make(map[lane]int)
-	var events []fleetEvent
+	var events []Event
 	for _, p := range procs {
 		kinds := make([]string, 0, len(kindSet[p]))
 		for k := range kindSet[p] {
@@ -93,13 +100,13 @@ func ExportPerfetto(w io.Writer, coordProc string, spans []Span) error {
 		sort.Slice(kinds, func(i, j int) bool {
 			return laneOrder(kinds[i]) < laneOrder(kinds[j])
 		})
-		events = append(events, fleetEvent{
+		events = append(events, Event{
 			Name: "process_name", Ph: "M", Pid: pidOf[p], Tid: 0,
 			Args: map[string]any{"name": p},
 		})
 		for i, k := range kinds {
 			tidOf[lane{p, k}] = i
-			events = append(events, fleetEvent{
+			events = append(events, Event{
 				Name: "thread_name", Ph: "M", Pid: pidOf[p], Tid: i,
 				Args: map[string]any{"name": k},
 			})
@@ -148,7 +155,7 @@ func ExportPerfetto(w io.Writer, coordProc string, spans []Span) error {
 		if sp.Note != "" {
 			args["note"] = sp.Note
 		}
-		ev := fleetEvent{
+		ev := Event{
 			Name: sp.Name, Cat: sp.Kind, Ts: float64(sp.Start - base),
 			Pid: pid, Tid: tid, Args: args,
 		}
@@ -184,7 +191,7 @@ func ExportPerfetto(w io.Writer, coordProc string, spans []Span) error {
 		})
 		fid := strconv.FormatUint(id, 10)
 		for i, sp := range chain {
-			ev := fleetEvent{
+			ev := Event{
 				Name: "lease-flow", Cat: flowCat, ID: fid,
 				Pid: pidOf[sp.Proc], Tid: tidOf[lane{sp.Proc, kindLane(sp.Kind)}],
 			}
@@ -204,9 +211,7 @@ func ExportPerfetto(w io.Writer, coordProc string, spans []Span) error {
 		}
 	}
 
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(fleetFile{TraceEvents: events, DisplayTimeUnit: "ms"})
+	return WriteEvents(w, events)
 }
 
 // kindLane maps a span kind to its thread lane name; unknown kinds share an
@@ -216,8 +221,6 @@ func kindLane(kind string) string {
 	case KindQueue, KindLease, KindStraggler, KindSteal, KindComplete,
 		KindAttempt, KindRetry, KindCheckpoint, KindQuarantine, KindCacheHit:
 		return kind
-	case "":
-		return "events"
 	default:
 		return "events"
 	}

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/ids"
 	"repro/internal/obs"
+	"repro/internal/obs/trace"
 	"repro/internal/sim"
 )
 
@@ -32,45 +33,25 @@ import (
 // commitLaneBase offsets commit-lane thread IDs away from exec-lane ones.
 const commitLaneBase = 1000
 
-// perfettoEvent is one trace-event record. Field names follow the format.
-type perfettoEvent struct {
-	Name string         `json:"name,omitempty"`
-	Cat  string         `json:"cat,omitempty"`
-	Ph   string         `json:"ph"`
-	Ts   uint64         `json:"ts"`
-	Dur  uint64         `json:"dur,omitempty"`
-	Pid  int            `json:"pid"`
-	Tid  int            `json:"tid"`
-	ID   string         `json:"id,omitempty"`
-	S    string         `json:"s,omitempty"`  // instant scope
-	BP   string         `json:"bp,omitempty"` // flow binding point
-	Args map[string]any `json:"args,omitempty"`
-}
-
-type perfettoFile struct {
-	TraceEvents     []perfettoEvent `json:"traceEvents"`
-	DisplayTimeUnit string          `json:"displayTimeUnit"`
-}
-
 // ExportPerfetto writes run r (traced via EnableTrace) and the optional obs
 // gauge series as Chrome trace-event JSON.
 func ExportPerfetto(w io.Writer, r sim.Result, series obs.Series) error {
 	nprocs := len(r.PerProc)
 	label := fmt.Sprintf("%s/%s/%v", r.Machine, r.App, r.Scheme)
-	var evs []perfettoEvent
+	var evs []trace.Event
 
 	// Metadata: process and per-processor lane names.
-	evs = append(evs, perfettoEvent{
+	evs = append(evs, trace.Event{
 		Name: "process_name", Ph: "M", Pid: 0, Tid: 0,
 		Args: map[string]any{"name": label},
 	})
 	for p := 0; p < nprocs; p++ {
 		evs = append(evs,
-			perfettoEvent{
+			trace.Event{
 				Name: "thread_name", Ph: "M", Pid: 0, Tid: p,
 				Args: map[string]any{"name": fmt.Sprintf("proc %d exec", p)},
 			},
-			perfettoEvent{
+			trace.Event{
 				Name: "thread_name", Ph: "M", Pid: 0, Tid: commitLaneBase + p,
 				Args: map[string]any{"name": fmt.Sprintf("proc %d commit", p)},
 			},
@@ -98,16 +79,16 @@ func ExportPerfetto(w io.Writer, r sim.Result, series obs.Series) error {
 				if e.Kind == sim.TraceSquash {
 					cat = "squashed"
 				}
-				evs = append(evs, perfettoEvent{
+				evs = append(evs, trace.Event{
 					Name: name, Cat: cat, Ph: "X",
-					Ts: uint64(st.When), Dur: uint64(e.When - st.When),
+					Ts: float64(st.When), Dur: float64(e.When - st.When),
 					Pid: 0, Tid: int(e.Proc),
 				})
 			}
 			if e.Kind == sim.TraceSquash {
-				evs = append(evs, perfettoEvent{
+				evs = append(evs, trace.Event{
 					Name: "squash " + e.Task.String(), Cat: "squash", Ph: "i",
-					Ts: uint64(e.When), Pid: 0, Tid: int(e.Proc), S: "t",
+					Ts: float64(e.When), Pid: 0, Tid: int(e.Proc), S: "t",
 					Args: map[string]any{
 						"word":   uint64(e.Word),
 						"writer": e.Writer.String(),
@@ -118,13 +99,13 @@ func ExportPerfetto(w io.Writer, r sim.Result, series obs.Series) error {
 					flowID++
 					id := strconv.Itoa(flowID)
 					evs = append(evs,
-						perfettoEvent{
+						trace.Event{
 							Name: "raw", Cat: "squash", Ph: "s", ID: id,
-							Ts: uint64(e.When), Pid: 0, Tid: int(wp),
+							Ts: float64(e.When), Pid: 0, Tid: int(wp),
 						},
-						perfettoEvent{
+						trace.Event{
 							Name: "raw", Cat: "squash", Ph: "f", ID: id, BP: "e",
-							Ts: uint64(e.When), Pid: 0, Tid: int(e.Proc),
+							Ts: float64(e.When), Pid: 0, Tid: int(e.Proc),
 						},
 					)
 				}
@@ -134,9 +115,9 @@ func ExportPerfetto(w io.Writer, r sim.Result, series obs.Series) error {
 		case sim.TraceCommitEnd:
 			if st, ok := openCommit[e.Task]; ok {
 				delete(openCommit, e.Task)
-				evs = append(evs, perfettoEvent{
+				evs = append(evs, trace.Event{
 					Name: "commit " + e.Task.String(), Cat: "commit", Ph: "X",
-					Ts: uint64(st.When), Dur: uint64(e.When - st.When),
+					Ts: float64(st.When), Dur: float64(e.When - st.When),
 					Pid: 0, Tid: commitLaneBase + int(e.Proc),
 				})
 			}
@@ -147,15 +128,14 @@ func ExportPerfetto(w io.Writer, r sim.Result, series obs.Series) error {
 	// event per sample.
 	for col, name := range series.Names {
 		for _, row := range series.Samples {
-			evs = append(evs, perfettoEvent{
-				Name: name, Cat: "gauge", Ph: "C", Ts: row.Cycle, Pid: 0, Tid: 0,
+			evs = append(evs, trace.Event{
+				Name: name, Cat: "gauge", Ph: "C", Ts: float64(row.Cycle), Pid: 0, Tid: 0,
 				Args: map[string]any{"value": row.Values[col]},
 			})
 		}
 	}
 
-	enc := json.NewEncoder(w)
-	return enc.Encode(perfettoFile{TraceEvents: evs, DisplayTimeUnit: "ms"})
+	return trace.WriteEvents(w, evs)
 }
 
 // PerfettoStats summarizes a validated trace-event file.

@@ -224,7 +224,7 @@ func (s *Simulator) afterCommit() {
 			s.ckptSink(s.snapshot())
 		}
 		s.halted = true
-		s.qHalt()
+		s.q.Halt()
 		return
 	}
 	if s.ckptSink != nil && s.ckptEvery > 0 && s.commits%s.ckptEvery == 0 {
@@ -242,11 +242,11 @@ func (s *Simulator) snapshot() *Checkpoint {
 		Total:   s.total,
 
 		Queue: QueueCheckpoint{
-			Now:    s.qNow(),
-			NextSq: s.qNextSeq(),
-			Fired:  s.qFired(),
+			Now:    s.q.Now(),
+			NextSq: s.q.NextSeq(),
+			Fired:  s.q.Fired(),
 
-			Compactions: s.qCompactions(),
+			Compactions: s.q.Compactions(),
 		},
 
 		TaskProc: append([]ids.ProcID(nil), s.taskProc...),
@@ -409,7 +409,7 @@ func (s *Simulator) Restore(ck *Checkpoint) error {
 		}
 	}
 
-	s.qRestoreClock(ck.Queue.Now, ck.Queue.NextSq, ck.Queue.Fired, ck.Queue.Compactions)
+	s.q.RestoreClock(ck.Queue.Now, ck.Queue.NextSq, ck.Queue.Fired, ck.Queue.Compactions)
 
 	s.lineGranularity = ck.LineGranularity
 	s.orbCommit = ck.ORBCommit
@@ -510,7 +510,7 @@ func (s *Simulator) Restore(ck *Checkpoint) error {
 		p.blockedUntil = pc.BlockedUntil
 		if pc.Scheduled {
 			p.scheduled = true
-			p.contHandle = s.qScheduleAt(p.id, pc.ContWhen, pc.ContSeq, p.cont)
+			p.contHandle = s.q.ScheduleAt(pc.ContWhen, pc.ContSeq, p.cont)
 		}
 		// Re-generate the running task's operation stream: Workload.Task is
 		// deterministic, so the regenerated ops equal the checkpointed run's.
@@ -529,7 +529,7 @@ func (s *Simulator) Restore(ck *Checkpoint) error {
 		if s.commitDone == nil {
 			s.commitDone = func(done event.Time) { s.finishCommit(s.committing, done) }
 		}
-		s.commitHandle = s.qScheduleAt(t.proc, ck.CommitWhen, ck.CommitSeq, s.commitDone)
+		s.commitHandle = s.q.ScheduleAt(ck.CommitWhen, ck.CommitSeq, s.commitDone)
 	}
 
 	s.inv = nil
@@ -581,9 +581,9 @@ func (s *Simulator) ProgressReport() ProgressReport {
 		Machine:    s.cfg.Name,
 		Scheme:     s.scheme.String(),
 		App:        s.gen.Name(),
-		Cycle:      uint64(s.qNow()),
-		QueueDepth: s.qLen(),
-		Events:     s.qFired(),
+		Cycle:      uint64(s.q.Now()),
+		QueueDepth: s.q.Len(),
+		Events:     s.q.Fired(),
 		Commits:    s.commits,
 		Tasks:      s.total,
 		LiveSpec:   s.liveSpec,

@@ -37,8 +37,7 @@ func (s *Simulator) maybeCommit(now event.Time) {
 		// the committing task is always s.committing when the event fires.
 		s.commitDone = func(done event.Time) { s.finishCommit(s.committing, done) }
 	}
-	// The commit-done event lives on the committing task's node lane.
-	s.commitHandle = s.qAt(t.proc, start+dur, s.commitDone)
+	s.commitHandle = s.q.At(start+dur, s.commitDone)
 }
 
 // commitDuration is the time the task holds the commit token.

@@ -78,7 +78,7 @@ func (s *Simulator) Observe(cfg obs.Config) {
 		return int64(s.net.InFlight(event.Time(cycle)))
 	})
 	o.sampler.Register("event_queue_len", func(uint64) int64 {
-		return int64(s.qLen())
+		return int64(s.q.Len())
 	})
 	o.sampler.Register("ovf_lines", func(uint64) int64 {
 		n := 0

@@ -98,17 +98,14 @@ func TestObserverEffectFreedomParallel(t *testing.T) {
 					t.Errorf("%s/%v -parallel %d: observed+traced parallel run diverged from obs-off serial run",
 						prof.Name, scheme, workers)
 				}
+				// Every task start takes exactly one stream from the prefetcher.
 				st := parSim.ParallelStats()
-				if st.Windows == 0 {
-					t.Errorf("%s/%v -parallel %d: no conservative windows counted", prof.Name, scheme, workers)
+				if took, starts := st.PrefetchHits+st.PrefetchMisses, uint64(got.Tasks+got.TasksSquashed); took != starts {
+					t.Errorf("%s/%v -parallel %d: prefetcher served %d streams, run started %d tasks (%d + %d squashed)",
+						prof.Name, scheme, workers, took, starts, got.Tasks, got.TasksSquashed)
 				}
-				var laneTotal uint64
-				for _, n := range st.LaneFired {
-					laneTotal += n
-				}
-				if laneTotal != got.Events {
-					t.Errorf("%s/%v -parallel %d: lanes fired %d events, result says %d",
-						prof.Name, scheme, workers, laneTotal, got.Events)
+				if st.PrefetchHits == 0 {
+					t.Errorf("%s/%v -parallel %d: no dispatch found its stream pregenerated", prof.Name, scheme, workers)
 				}
 			}
 		}

@@ -3,122 +3,81 @@ package sim
 import (
 	"sync"
 
-	"repro/internal/event"
-	"repro/internal/ids"
 	"repro/internal/workload"
 )
 
 // Parallel simulation mode (DESIGN.md §15).
 //
-// The pending event set is sharded into per-node lanes (event.ShardedQueue,
-// one lane per simulated processor: continuations live on their processor's
-// lane, the commit-done event on the committing task's lane) and the run
-// advances in conservative synchronization windows whose width is the
-// machine's interconnect lookahead — the minimum latency of any cross-node
-// interaction. Within a window, events are applied in the same canonical
-// (cycle, seq) order as the serial loop: the model's zero-lookahead
-// couplings (a squash rolls back every successor processor at the same
-// cycle; directory words, bank occupancies and the dispatch cursor are
-// shared) make concurrent event-callback execution impossible to keep
-// bit-identical, so determinism is preserved by construction and the
-// parallelism is extracted from the run's dominant pure computation
-// instead: workload stream generation (~a third of a full run's CPU), which
-// the prefetcher below pipelines onto N worker goroutines ahead of the
-// dispatch cursor. Results are reflect.DeepEqual-identical to the serial
-// loop for every workload, scheme, and fault plan.
+// Parallel mode runs the same serial event queue as the default mode; what
+// it adds is a prefetcher that generates workload operation streams (about
+// a third of a full run's CPU) on N worker goroutines ahead of the dispatch
+// cursor. Event callbacks cannot run concurrently and stay bit-identical —
+// a squash rolls back every successor processor at the same cycle, and
+// directory words, bank occupancies and the dispatch cursor are shared — so
+// the prefetcher changes only where a stream is computed, never the event
+// order. Results are reflect.DeepEqual-identical to the serial loop for
+// every workload, scheme, and fault plan, and a checkpoint taken in either
+// mode restores into either mode.
 
 // ConcurrentWorkload is implemented by workloads whose Task method is safe
 // to call from multiple goroutines at once. Both workload.Generator and
 // workload.Trace qualify; the prefetcher stays off for workloads that
-// don't, and parallel mode then degrades to the sharded-merge loop alone.
+// don't, and parallel mode then runs exactly like the serial loop.
 type ConcurrentWorkload interface {
 	ConcurrentTaskSafe() bool
 }
 
-// SetParallel selects the parallel simulation mode with n worker
-// goroutines. n <= 1 selects the serial loop (the default). It must be
-// called before Run and before Restore: the mode decides which queue the
-// restored events land in.
+// SetParallel selects the parallel simulation mode with n prefetch worker
+// goroutines. n <= 1 selects the serial loop (the default). It only records
+// n: Run starts the workers and stops them before it returns, so a
+// simulator that never runs holds no goroutines. It must be called before
+// Run or Restore.
 func (s *Simulator) SetParallel(n int) {
 	if s.started {
 		panic("sim: SetParallel after Run or Restore")
 	}
 	if n <= 1 {
-		s.sq = nil
-		s.pf = nil
-		s.parN = 0
-		return
+		n = 0
 	}
 	s.parN = n
-	s.sq = event.NewSharded(s.cfg.Procs)
-	s.window = s.net.Lookahead()
-	if s.window < 1 {
-		s.window = 1
-	}
-	if cw, ok := s.gen.(ConcurrentWorkload); ok && cw.ConcurrentTaskSafe() {
-		s.pf = newPrefetcher(s.gen, n, s.total)
-	}
 }
 
 // Parallel returns the worker count selected by SetParallel (0 = serial).
 func (s *Simulator) Parallel() int { return s.parN }
 
-// runParallel is the parallel-mode counterpart of the serial
-// s.q.Run(eventLimit): it advances the sharded queue window by window. Each
-// iteration reads the global safe floor (the earliest pending event on any
-// lane), points the prefetcher at the dispatch cursor so streams for
-// soon-to-start tasks are being generated while this window's events apply,
-// and fires everything within one lookahead of the floor. Like the serial
-// loop it drains the queue completely — post-completion no-op continuations
-// count in Result.Events in both modes.
-func (s *Simulator) runParallel() uint64 {
-	if s.pf != nil {
-		defer s.pf.close()
+// startPrefetch launches the prefetch workers for one Run and aims them at
+// the dispatch cursor. It reports false (and starts nothing) in serial mode
+// or when the workload is not safe to generate concurrently; on true the
+// caller must close s.pf when the run returns.
+func (s *Simulator) startPrefetch() bool {
+	if s.parN == 0 {
+		return false
 	}
-	var fired uint64
-	for fired < eventLimit {
-		head, ok := s.sq.MinFrontier()
-		if !ok {
-			break
-		}
-		if s.pf != nil && !s.done {
-			s.pf.aim(s.next)
-		}
-		n := s.sq.RunWindow(head+s.window, eventLimit-fired)
-		fired += n
-		s.parWindows++
-		if n <= 1 {
-			// A window that fires at most one event paid a full merge-loop
-			// round (frontier scan + window setup) for no batching: the
-			// conservative window stalled on the lookahead bound.
-			s.parStalls++
-		}
+	if cw, ok := s.gen.(ConcurrentWorkload); !ok || !cw.ConcurrentTaskSafe() {
+		return false
 	}
-	return fired
+	s.pf = newPrefetcher(s.gen, s.parN, s.total)
+	s.pf.aim(s.next)
+	return true
 }
 
 // ParallelStats is the diagnostic counter set of one parallel-mode run: how
-// the conservative windows batched, how evenly the lanes fired, and how the
-// workload prefetcher kept ahead of the dispatch cursor. It is pure
+// the workload prefetcher kept ahead of the dispatch cursor. It is pure
 // observability — none of these counters feed back into the simulation, and
 // none are part of Result — surfaced so tlsbench output can localize a
-// parallel-mode slowdown (stalling windows vs. lane imbalance vs. prefetch
-// misses) without a profiler. Zero-valued for serial runs.
+// parallel-mode slowdown to prefetch misses without a profiler.
+// Zero-valued for serial runs.
 type ParallelStats struct {
-	Workers     int        `json:"workers"`
-	WindowWidth event.Time `json:"window_width"`
-	// Windows is the number of conservative synchronization windows the
-	// merge loop ran; StallWindows counts those that fired ≤1 event — rounds
-	// whose frontier-scan overhead bought no batching.
+	Workers int `json:"workers"`
+	// Windows and StallWindows are always 0: parallel mode runs no
+	// synchronization windows. They stay because the tlsperf benchmark
+	// reads them.
 	Windows      uint64 `json:"windows"`
 	StallWindows uint64 `json:"stall_windows"`
-	// LaneFired and LaneHighWater are per-lane (per simulated processor)
-	// totals: events fired from the lane and its peak pending occupancy.
-	LaneFired     []uint64 `json:"lane_fired,omitempty"`
-	LaneHighWater []int    `json:"lane_high_water,omitempty"`
-	Compactions   uint64   `json:"compactions"`
 	// Prefetcher effectiveness: a hit is a dispatch whose stream a worker
-	// pregenerated, a miss computed inline on the merge goroutine.
+	// pregenerated, a miss computed inline on the simulation goroutine.
+	// Every task start takes one stream, so hits + misses equals
+	// Result.Tasks + Result.TasksSquashed on a run that was not restored.
 	PrefetchHits           uint64 `json:"prefetch_hits"`
 	PrefetchMisses         uint64 `json:"prefetch_misses"`
 	PrefetchDepthHighWater int    `json:"prefetch_depth_high_water"`
@@ -127,96 +86,14 @@ type ParallelStats struct {
 // ParallelStats snapshots the parallel-mode counters. Call after Run; the
 // zero value is returned for serial runs.
 func (s *Simulator) ParallelStats() ParallelStats {
-	if s.parN == 0 || s.sq == nil {
+	if s.parN == 0 {
 		return ParallelStats{}
 	}
-	st := ParallelStats{
-		Workers:      s.parN,
-		WindowWidth:  s.window,
-		Windows:      s.parWindows,
-		StallWindows: s.parStalls,
-		Compactions:  s.sq.Compactions(),
-	}
-	st.LaneFired = make([]uint64, s.sq.Domains())
-	st.LaneHighWater = make([]int, s.sq.Domains())
-	for i := 0; i < s.sq.Domains(); i++ {
-		st.LaneFired[i] = s.sq.LaneFired(i)
-		st.LaneHighWater[i] = s.sq.LaneHighWater(i)
-	}
+	st := ParallelStats{Workers: s.parN}
 	if s.pf != nil {
 		st.PrefetchHits, st.PrefetchMisses, st.PrefetchDepthHighWater = s.pf.stats()
 	}
 	return st
-}
-
-// The q* helpers below are the queue facade: every scheduling and
-// bookkeeping touch of the event queue goes through them, branching on the
-// mode. The domain argument is the processor whose lane owns the event;
-// the serial queue ignores it.
-
-func (s *Simulator) qAt(domain ids.ProcID, at event.Time, fn func(event.Time)) event.Handle {
-	if s.sq != nil {
-		return s.sq.At(int(domain), at, fn)
-	}
-	return s.q.At(at, fn)
-}
-
-func (s *Simulator) qScheduleAt(domain ids.ProcID, when event.Time, seq uint64, fn func(event.Time)) event.Handle {
-	if s.sq != nil {
-		return s.sq.ScheduleAt(int(domain), when, seq, fn)
-	}
-	return s.q.ScheduleAt(when, seq, fn)
-}
-
-func (s *Simulator) qNow() event.Time {
-	if s.sq != nil {
-		return s.sq.Now()
-	}
-	return s.q.Now()
-}
-
-func (s *Simulator) qLen() int {
-	if s.sq != nil {
-		return s.sq.Len()
-	}
-	return s.q.Len()
-}
-
-func (s *Simulator) qFired() uint64 {
-	if s.sq != nil {
-		return s.sq.Fired()
-	}
-	return s.q.Fired()
-}
-
-func (s *Simulator) qNextSeq() uint64 {
-	if s.sq != nil {
-		return s.sq.NextSeq()
-	}
-	return s.q.NextSeq()
-}
-
-func (s *Simulator) qCompactions() uint64 {
-	if s.sq != nil {
-		return s.sq.Compactions()
-	}
-	return s.q.Compactions()
-}
-
-func (s *Simulator) qHalt() {
-	if s.sq != nil {
-		s.sq.Halt()
-		return
-	}
-	s.q.Halt()
-}
-
-func (s *Simulator) qRestoreClock(now event.Time, nextSq, fired, compactions uint64) {
-	if s.sq != nil {
-		s.sq.RestoreClock(now, nextSq, fired, compactions)
-		return
-	}
-	s.q.RestoreClock(now, nextSq, fired, compactions)
 }
 
 // prefetcher pregenerates workload operation streams on worker goroutines.
@@ -366,8 +243,8 @@ func (pf *prefetcher) stats() (hits, misses uint64, depthHiwater int) {
 	return pf.hits, pf.misses, pf.depthHiwater
 }
 
-// close stops the workers and waits for them. Entries still in the channel
-// are drained without effect; nothing waits on them afterwards.
+// close stops the workers and waits for them. Requests still in the channel
+// are generated and dropped; nothing waits on them afterwards.
 func (pf *prefetcher) close() {
 	pf.mu.Lock()
 	if pf.closed {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -10,8 +11,8 @@ import (
 	"repro/internal/workload"
 )
 
-// runParallelN builds and runs one simulation in parallel mode.
-func runParallelN(mach *machine.Config, sch core.Scheme, p workload.Profile, seed uint64, n int) Result {
+// runPrefetched builds and runs one simulation in parallel mode.
+func runPrefetched(mach *machine.Config, sch core.Scheme, p workload.Profile, seed uint64, n int) Result {
 	s := New(mach, sch, workload.NewGenerator(p, seed))
 	s.SetParallel(n)
 	return s.Run()
@@ -20,7 +21,7 @@ func runParallelN(mach *machine.Config, sch core.Scheme, p workload.Profile, see
 // The tentpole acceptance test: for every app × scheme, the parallel loop
 // at every worker count — including 1, which must select the serial code
 // path — produces a Result deeply identical to the serial loop, on both
-// machine families (different topologies, hence different lookaheads).
+// machine families.
 func TestParallelMatchesSerialGrid(t *testing.T) {
 	machines := []*machine.Config{machine.NUMA16(), machine.CMP8()}
 	apps := workload.Apps()
@@ -36,7 +37,7 @@ func TestParallelMatchesSerialGrid(t *testing.T) {
 			for _, sch := range schemes {
 				serial := Run(mach, sch, p, 99)
 				for _, n := range []int{1, 2, 8} {
-					got := runParallelN(mach, sch, p, 99, n)
+					got := runPrefetched(mach, sch, p, 99, n)
 					if !reflect.DeepEqual(serial, got) {
 						t.Errorf("%s/%v/%s parallel=%d: result differs from serial (%d vs %d cycles, %d vs %d events)",
 							mach.Name, sch, p.Name, n, got.ExecCycles, serial.ExecCycles, got.Events, serial.Events)
@@ -112,8 +113,7 @@ func TestParallelCheckpointCrossModeRestore(t *testing.T) {
 	}
 }
 
-// The sequential baseline (one processor, one lane) runs in parallel mode
-// too — the degenerate machine must not trip the sharded loop.
+// The sequential baseline (one processor) runs in parallel mode too.
 func TestParallelSequentialBaseline(t *testing.T) {
 	mach := machine.NUMA16()
 	p := workload.Tree().Scale(0.1, 0.1, 0.25)
@@ -185,4 +185,22 @@ func TestSetParallelAfterStartPanics(t *testing.T) {
 		}
 	}()
 	s.SetParallel(8)
+}
+
+// SetParallel only records the worker count: a simulator that never runs —
+// here one whose Restore fails — must not leave prefetch workers behind.
+func TestSetParallelWithoutRunStartsNoGoroutines(t *testing.T) {
+	mach := machine.NUMA16()
+	p := workload.Tree().Scale(0.1, 0.1, 0.25)
+	before := runtime.NumGoroutine()
+	for i := 0; i < 10; i++ {
+		s := New(mach, core.MultiTMVLazy, workload.NewGenerator(p, 99))
+		s.SetParallel(4)
+		if err := s.Restore(&Checkpoint{Machine: "no-such-machine"}); err == nil {
+			t.Fatal("Restore of a mismatched checkpoint succeeded")
+		}
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("%d goroutines before, %d after 10 unrun parallel simulators", before, after)
+	}
 }

@@ -58,14 +58,11 @@ type Simulator struct {
 
 	q event.Queue
 
-	// Parallel mode (see parallel.go): when sq is non-nil the run uses the
-	// per-node sharded queue and the conservative-window loop instead of q;
-	// pf pregenerates workload streams on parN worker goroutines; window is
-	// the synchronization horizon (the interconnect lookahead).
-	sq     *event.ShardedQueue
-	pf     *prefetcher
-	window event.Time
-	parN   int
+	// Parallel mode (see parallel.go): parN is the prefetch worker count
+	// (0 = serial); pf, which Run creates and closes, pregenerates workload
+	// streams on those workers and keeps its counters for ParallelStats.
+	pf   *prefetcher
+	parN int
 
 	dir   *coherence.Directory
 	mem   *memsys.Memory
@@ -126,8 +123,6 @@ type Simulator struct {
 	flight          [flightRingSize]FlightEntry
 	flightNext      int
 	flightSeen      uint64
-	parWindows      uint64
-	parStalls       uint64
 	lineGranularity bool
 	orbCommit       bool
 	forceMTID       bool
@@ -200,7 +195,7 @@ func (s *Simulator) schedule(p *processor, at event.Time) {
 		return
 	}
 	p.scheduled = true
-	p.contHandle = s.qAt(p.id, at, p.cont)
+	p.contHandle = s.q.At(at, p.cont)
 }
 
 // Run executes the section to completion and returns the results. On a
@@ -215,14 +210,12 @@ func (s *Simulator) Run() Result {
 			s.schedule(p, 0)
 		}
 	}
+	if s.startPrefetch() {
+		defer s.pf.close()
+	}
 	// Run(limit) with limit > 0 is a budget: a return value equal to the
 	// limit means the budget was exhausted, not that the queue drained.
-	var fired uint64
-	if s.sq != nil {
-		fired = s.runParallel()
-	} else {
-		fired = s.q.Run(eventLimit)
-	}
+	fired := s.q.Run(eventLimit)
 	if s.halted {
 		return Result{}
 	}
@@ -232,7 +225,7 @@ func (s *Simulator) Run() Result {
 			reason = "hit the event limit (livelock?)"
 		}
 		panic(fmt.Sprintf("sim: %s/%v/%s %s: %d tasks committed of %d, %d events fired",
-			s.cfg.Name, s.scheme, s.gen.Name(), reason, s.commits, s.total, s.qFired()))
+			s.cfg.Name, s.scheme, s.gen.Name(), reason, s.commits, s.total, s.q.Fired()))
 	}
 	return s.collect()
 }
@@ -339,6 +332,9 @@ func (s *Simulator) nextTask(p *processor) bool {
 	}
 	idx := s.next
 	s.next++
+	if s.pf != nil {
+		s.pf.aim(s.next)
+	}
 	t := &task{id: ids.TaskID(idx + 1), index: idx, proc: p.id}
 	s.taskProc[idx] = p.id
 	s.tasks[t.id] = t

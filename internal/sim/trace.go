@@ -80,8 +80,8 @@ func (s *Simulator) EnableTrace() { s.tracing = true }
 // died — dumped into .progress.json reports and quarantine manifests.
 //
 // Recording is a value write into a preallocated array (no allocation, no
-// locking — the event loop is single-goroutine even in parallel mode, where
-// shard lanes are merged before handlers run), and it never feeds back into
+// locking — the event loop is single-goroutine even in parallel mode, whose
+// workers only generate workload streams), and it never feeds back into
 // simulation state, preserving the no-observer-effect guarantee.
 type FlightEntry struct {
 	When event.Time `json:"when"`

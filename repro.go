@@ -224,9 +224,9 @@ func RunSequential(cfg *Machine, prof Profile, seed uint64) Result {
 }
 
 // RunParallel simulates one combination on the parallel simulation core
-// with n worker goroutines (n <= 1 selects the serial loop). The Result is
-// reflect.DeepEqual-identical to Run's: parallel mode only changes where
-// the work is computed, never what it computes. See DESIGN.md §15.
+// with n workload prefetch goroutines (n <= 1 selects the serial loop). The
+// Result is reflect.DeepEqual-identical to Run's: parallel mode only changes
+// where the work is computed, never what it computes. See DESIGN.md §15.
 func RunParallel(cfg *Machine, scheme Scheme, prof Profile, seed uint64, n int) Result {
 	s := sim.New(cfg, scheme, workload.NewGenerator(prof, seed))
 	s.SetParallel(n)
